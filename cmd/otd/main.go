@@ -39,23 +39,19 @@ import (
 	"syscall"
 	"time"
 
-	"ironman/internal/extension"
-	"ironman/internal/ferret"
 	"ironman/internal/otserv"
 	"ironman/internal/otserv/router"
+	"ironman/internal/otserv/wire"
 )
 
 func main() {
 	listen := flag.String("listen", ":7117", "address to serve on")
-	params := flag.String("params", "2^20", "default Table 4 parameter set for sessions")
-	backends := flag.String("backends", "", "extension backends to serve, comma-separated (default: all registered)")
+	params := flag.String("params", "2^20", "default parameter set for sessions: a Table 4 name, or tiny/small (CI scale)")
 	prefetch := flag.Int("prefetch", 2, "default per-session prefetch depth (Extend batches)")
 	maxDepth := flag.Int("max-depth", 8, "cap on client-requested prefetch depth")
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session limit")
-	workers := flag.Int("workers", 0, "per-session Extend worker goroutines (0 = GOMAXPROCS)")
 	shardID := flag.Uint64("shard-id", 0, "fleet shard id stamped into session ids (0 = standalone)")
 	lease := flag.Duration("lease", 0, "default session lease for orphaned sessions (0 = server default)")
-	tiny := flag.Bool("tiny", false, "also serve the test-scale parameter sets tiny/small (CI fleets)")
 	route := flag.Bool("route", false, "run as the fleet router instead of a dispenser shard")
 	shards := flag.String("shards", "", "router mode: comma-separated shard addresses")
 	drainWait := flag.Duration("drain", 10*time.Second, "graceful shutdown budget on SIGTERM before forcing connections closed")
@@ -76,42 +72,26 @@ func main() {
 		return
 	}
 
-	// Validate the backend allowlist at startup, not at first HELLO.
-	var backendList []string
-	for _, name := range strings.Split(*backends, ",") {
-		if name = strings.TrimSpace(name); name == "" {
-			continue
-		}
-		if _, err := extension.ByName(name); err != nil {
-			log.Fatalf("otd: -backends: unknown backend %q (valid: %s)", name, strings.Join(extension.Names(), " "))
-		}
-		backendList = append(backendList, name)
+	// Validate the shard id at startup: session ids carry it in their
+	// top bits, so an id that does not fit would alias another shard.
+	if *shardID > wire.MaxShardID {
+		log.Fatalf("otd: -shard-id: %d is above the largest shard id %d", *shardID, wire.MaxShardID)
 	}
 
-	cfg := otserv.Config{
+	srv := otserv.NewServer(otserv.Config{
 		DefaultParams: *params,
 		Depth:         *prefetch,
 		MaxDepth:      *maxDepth,
 		MaxSessions:   *maxSessions,
-		Workers:       *workers,
-		Backends:      backendList,
 		ShardID:       *shardID,
 		Lease:         *lease,
-	}
-	if *tiny {
-		cfg.Resolve = testScaleResolve
-	}
-	srv := otserv.NewServer(cfg)
+	})
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	served := backendList
-	if len(served) == 0 {
-		served = extension.Names()
-	}
-	log.Printf("otd: dispensing on %s (shard %d, params %s, backends %s, prefetch %d, max %d sessions)",
-		ln.Addr(), *shardID, *params, strings.Join(served, ","), *prefetch, *maxSessions)
+	log.Printf("otd: dispensing on %s (shard %d, params %s, prefetch %d, max %d sessions)",
+		ln.Addr(), *shardID, *params, *prefetch, *maxSessions)
 
 	if *admin != "" {
 		aln, err := net.Listen("tcp", *admin)
@@ -143,18 +123,6 @@ func main() {
 	if err := srv.Serve(ln); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// testScaleResolve layers the CI-scale parameter sets over the paper's
-// Table 4 names so a laptop fleet can open hundreds of sessions.
-func testScaleResolve(name string) (ferret.Params, error) {
-	switch name {
-	case "tiny":
-		return ferret.TestParams(600, 32, 128, 8), nil
-	case "small":
-		return ferret.TestParams(3000, 32, 512, 16), nil
-	}
-	return ferret.ParamsByName(name)
 }
 
 // runRouter serves the fleet-router mode of otd.

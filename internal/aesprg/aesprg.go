@@ -97,6 +97,7 @@ func (h *Hash) Sum(x block.Block, tweak uint64) block.Block {
 type Stream struct {
 	c   cipher.Block
 	ctr uint64
+	in  [16]byte // counter block; a field so Encrypt does not allocate one per refill
 	buf [16]byte
 	n   int // bytes of buf already consumed
 }
@@ -111,10 +112,9 @@ func NewStream(seed block.Block) *Stream {
 }
 
 func (s *Stream) refill() {
-	var in [16]byte
-	binary.LittleEndian.PutUint64(in[:8], s.ctr)
+	binary.LittleEndian.PutUint64(s.in[:8], s.ctr)
 	s.ctr++
-	s.c.Encrypt(s.buf[:], in[:])
+	s.c.Encrypt(s.buf[:], s.in[:])
 	s.n = 0
 }
 
@@ -167,20 +167,32 @@ func (s *Stream) Block() block.Block {
 	return block.FromBytes(b[:])
 }
 
-// Blocks fills dst with pseudorandom blocks.
+// Blocks fills dst with pseudorandom blocks (the same stream bytes as
+// one Block call per element, filled a chunk at a time).
 func (s *Stream) Blocks(dst []block.Block) {
-	for i := range dst {
-		dst[i] = s.Block()
+	var buf [64 * block.Size]byte
+	for len(dst) > 0 {
+		m := min(len(dst), 64)
+		s.Fill(buf[:m*block.Size])
+		for i := range dst[:m] {
+			dst[i] = block.FromBytes(buf[i*block.Size:])
+		}
+		dst = dst[m:]
 	}
 }
 
-// Bits fills dst with pseudorandom booleans.
+// Bits fills dst with pseudorandom booleans, eight per stream byte,
+// least significant bit first.
 func (s *Stream) Bits(dst []bool) {
-	for i := 0; i < len(dst); i += 8 {
-		var b [1]byte
-		s.Fill(b[:])
-		for j := 0; j < 8 && i+j < len(dst); j++ {
-			dst[i+j] = b[0]>>uint(j)&1 == 1
+	var buf [512]byte
+	for i := 0; i < len(dst); {
+		m := min((len(dst)-i+7)/8, len(buf))
+		s.Fill(buf[:m])
+		for _, b := range buf[:m] {
+			for j := 0; j < 8 && i < len(dst); j++ {
+				dst[i] = b>>uint(j)&1 == 1
+				i++
+			}
 		}
 	}
 }

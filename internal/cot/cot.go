@@ -527,10 +527,30 @@ func ReceiveAllButOne(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, m
 	return out, nil
 }
 
-// RandomPools deals a correlated pair of pools from crypto/rand under a
-// fresh random Δ. This is the "trusted dealer" shortcut used by tests
-// and benchmarks that focus on post-init behaviour; production
-// initialization goes through internal/iknp (see ferret.NewSender).
+// Deal is the repo's one correlation dealer: it fills r0 with the
+// sender's blocks, then bits with the receiver's choice bits, both
+// drawn from s, and rb with the receiver's r_b = r0 ⊕ b·Δ. The three
+// slices must have equal length. Whoever knows the seed of s knows
+// every correlation, so the dealer is exactly as secret as that seed.
+func Deal(s *aesprg.Stream, delta block.Block, r0 []block.Block, bits []bool, rb []block.Block) {
+	if len(bits) != len(r0) || len(rb) != len(r0) {
+		panic("cot: Deal slices differ in length")
+	}
+	s.Blocks(r0)
+	s.Bits(bits)
+	for i, r := range r0 {
+		rb[i] = r
+		if bits[i] {
+			rb[i] = r.Xor(delta)
+		}
+	}
+}
+
+// RandomPools deals a correlated pair of pools under a fresh random Δ
+// from a stream keyed by crypto/rand. This is the "trusted dealer"
+// shortcut used by tests and benchmarks that focus on post-init
+// behaviour; production initialization goes through internal/iknp
+// (see ferret.NewSender).
 func RandomPools(n int) (*SenderPool, *ReceiverPool, error) {
 	var deltaBytes [block.Size]byte
 	//ironman:allow(randsrc) trusted-dealer shortcut for tests and benchmarks; production initialization flows through internal/iknp setup
@@ -542,36 +562,21 @@ func RandomPools(n int) (*SenderPool, *ReceiverPool, error) {
 
 // RandomPoolsWithDelta is RandomPools under a caller-chosen Δ.
 func RandomPoolsWithDelta(delta block.Block, n int) (*SenderPool, *ReceiverPool, error) {
-	buf := make([]byte, block.Size*n+(n+7)/8)
+	var seed [block.Size]byte
 	//ironman:allow(randsrc) trusted-dealer shortcut for tests and benchmarks; production initialization flows through internal/iknp setup
-	if _, err := rand.Read(buf); err != nil {
+	if _, err := rand.Read(seed[:]); err != nil {
 		return nil, nil, err
 	}
-	return poolsFromBytes(buf, delta, n)
+	return PoolsFromStream(aesprg.NewStream(block.FromBytes(seed[:])), delta, n)
 }
 
-// PoolsFromStream is RandomPoolsWithDelta with the randomness drawn
-// from a deterministic stream — the dealer behind ferret.Options.Seed.
-// Correlations derived from a known seed are NOT secure; tests and
-// benchmarks only.
+// PoolsFromStream wraps a Deal from s into a pair of pools — the
+// dealer behind ferret.Options.Seed. The pools are only as secret as
+// the seed of s: a known seed (a test or benchmark constant) yields
+// correlations anyone can recompute.
 func PoolsFromStream(s *aesprg.Stream, delta block.Block, n int) (*SenderPool, *ReceiverPool, error) {
-	buf := make([]byte, block.Size*n+(n+7)/8)
-	s.Fill(buf)
-	return poolsFromBytes(buf, delta, n)
-}
-
-func poolsFromBytes(buf []byte, delta block.Block, n int) (*SenderPool, *ReceiverPool, error) {
-	r0 := block.SliceFromBytes(buf[:block.Size*n])
-	bitsBuf := buf[block.Size*n:]
-	bits := make([]bool, n)
-	rb := make([]block.Block, n)
-	for i := 0; i < n; i++ {
-		bits[i] = bitsBuf[i/8]>>uint(i%8)&1 == 1
-		rb[i] = r0[i]
-		if bits[i] {
-			rb[i] = rb[i].Xor(delta)
-		}
-	}
+	r0, bits, rb := make([]block.Block, n), make([]bool, n), make([]block.Block, n)
+	Deal(s, delta, r0, bits, rb)
 	rp, err := NewReceiverPool(bits, rb)
 	if err != nil {
 		return nil, nil, err

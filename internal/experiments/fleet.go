@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"ironman/internal/ferret"
 	"ironman/internal/otserv"
 	"ironman/internal/otserv/loadgen"
 	"ironman/internal/otserv/router"
@@ -22,18 +21,6 @@ type FleetResult struct {
 	Report *loadgen.Report `json:"report"`
 }
 
-// fleetResolve serves the CI-scale parameter sets the fleet bench
-// opens hundreds of sessions against.
-func fleetResolve(name string) (ferret.Params, error) {
-	switch name {
-	case "tiny":
-		return ferret.TestParams(600, 32, 128, 8), nil
-	case "small":
-		return ferret.TestParams(3000, 32, 512, 16), nil
-	}
-	return ferret.ParamsByName(name)
-}
-
 // FleetBench boots a 3-shard fleet plus router in-process (each shard
 // a full otserv.Server on its own TCP listener) and measures it with
 // the load generator: 1024 concurrent sessions over 64 connections
@@ -46,7 +33,6 @@ func FleetBench(o Options) FleetResult {
 	)
 	for i := 0; i < shards; i++ {
 		srv := otserv.NewServer(otserv.Config{
-			Resolve:       fleetResolve,
 			DefaultParams: "tiny",
 			MaxSessions:   2048,
 			ShardID:       uint64(i + 1),

@@ -1,8 +1,7 @@
 // Package extension defines the pluggable correlated-OT extension
 // backend API: the one contract a protocol family implements to plug
 // into every consumer layer — the public ironman endpoints, the
-// prefetching pools, the otserv dispenser's HELLO negotiation, and the
-// benchmark harness. Two backends ship: "ferret" (internal/ferret,
+// prefetching pools, and the benchmark harness. Two backends ship: "ferret" (internal/ferret,
 // PCG-style LPN; the paper's design point, lowest bytes/COT) and
 // "softspoken" (internal/softspoken, small-field subfield-VOLE; one
 // message flight per batch, no LPN compute). DESIGN.md's "Extension
@@ -106,8 +105,7 @@ type Backend interface {
 	NewReceiver(conn transport.Conn, p Params, o Options) (Receiver, error)
 	// DealPair returns an initialized in-process pair whose setup
 	// comes from a local trusted dealer instead of base OTs (NOT
-	// secure; tests, benchmarks, and the dispenser's in-process
-	// generator use it).
+	// secure; tests, benchmarks, and ironman.NewDealtPair use it).
 	DealPair(connS, connR transport.Conn, delta block.Block, p Params, o Options) (Sender, Receiver, error)
 }
 

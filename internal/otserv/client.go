@@ -49,7 +49,7 @@ func (c *Client) Close() error {
 }
 
 // roundTrip sends one request and decodes the status byte. Typed
-// failures (quota, lease, dry, draining, version, backend) come back
+// failures (quota, lease, dry, draining, version) come back
 // as errors matching the wire sentinels under errors.Is.
 func (c *Client) roundTrip(req []byte) ([]byte, error) {
 	c.mu.Lock()
@@ -89,22 +89,11 @@ type SessionConfig struct {
 	// Params names a parameter set known to the server ("" = server
 	// default).
 	Params string
-	// Backend names the extension backend the session should run on
-	// ("" = server default). Unsupported names fail NewSession with an
-	// ErrBackendUnsupported-wrapping error before the server creates
-	// any session state.
-	Backend string
-	// BinaryAES selects the classic 2-ary AES GGM construction for
-	// this session instead of the Ironman 4-ary ChaCha8 one.
-	BinaryAES bool
 	// Depth requests a prefetch depth in batches (0 = server default;
 	// the server caps it).
 	Depth int
 	// LowWater overrides the session pool's refill trigger.
 	LowWater int
-	// Workers requests an Extend worker-goroutine cap for the session's
-	// refills (0 = server default; the server clamps to its own cap).
-	Workers int
 	// Tenant names the accounting principal the session draws under
 	// ("" = the anonymous default tenant). Quotas key off it.
 	Tenant string
@@ -120,7 +109,6 @@ type Session struct {
 	id       uint64
 	token    string // fleet routing token (reconnect handle)
 	params   string
-	backend  string
 	batch    int
 	lease    time.Duration
 	role     Role
@@ -136,17 +124,14 @@ type Session struct {
 // each half (a party holding both tokens can reconstruct Δ).
 func (c *Client) NewSession(cfg SessionConfig) (*Session, error) {
 	req := wire.HelloReq{
-		V:         wire.ProtoVersion,
-		Params:    cfg.Params,
-		Backend:   cfg.Backend,
-		BinaryAES: cfg.BinaryAES,
-		Depth:     cfg.Depth,
-		LowWater:  cfg.LowWater,
-		Workers:   cfg.Workers,
-		Tenant:    cfg.Tenant,
-		LeaseMS:   cfg.Lease.Milliseconds(),
+		V:        wire.ProtoVersion,
+		Params:   cfg.Params,
+		Depth:    cfg.Depth,
+		LowWater: cfg.LowWater,
+		Tenant:   cfg.Tenant,
+		LeaseMS:  cfg.Lease.Milliseconds(),
 	}
-	// HELLO carries the v2 framing (version byte before the JSON), so
+	// HELLO carries the versioned framing (version byte before the JSON), so
 	// it cannot go through roundTripJSON.
 	body, err := wire.HelloBody(req)
 	if err != nil {
@@ -165,7 +150,6 @@ func (c *Client) NewSession(cfg SessionConfig) (*Session, error) {
 		id:       resp.Session,
 		token:    resp.SessionToken,
 		params:   resp.Params,
-		backend:  resp.Backend,
 		batch:    resp.Batch,
 		lease:    time.Duration(resp.LeaseMS) * time.Millisecond,
 		role:     RoleBoth,
@@ -197,14 +181,13 @@ func (c *Client) attach(req wire.AttachReq) (*Session, error) {
 		return nil, err
 	}
 	return &Session{
-		c:       c,
-		id:      resp.Session,
-		token:   req.SessionToken,
-		params:  resp.Params,
-		backend: resp.Backend,
-		batch:   resp.Batch,
-		lease:   time.Duration(resp.LeaseMS) * time.Millisecond,
-		role:    resp.Role,
+		c:      c,
+		id:     resp.Session,
+		token:  req.SessionToken,
+		params: resp.Params,
+		batch:  resp.Batch,
+		lease:  time.Duration(resp.LeaseMS) * time.Millisecond,
+		role:   resp.Role,
 	}, nil
 }
 
@@ -233,10 +216,7 @@ func (s *Session) Token() string { return s.token }
 // Params names the session's parameter set.
 func (s *Session) Params() string { return s.params }
 
-// Backend names the session's negotiated extension backend.
-func (s *Session) Backend() string { return s.backend }
-
-// Batch is the session's per-Extend correlation yield.
+// Batch is the session's per-refill correlation yield.
 func (s *Session) Batch() int { return s.batch }
 
 // Lease is the session's orphan grace window: how long it survives a

@@ -3,7 +3,6 @@ package otserv
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -12,28 +11,13 @@ import (
 
 	"ironman"
 	"ironman/internal/block"
-	"ironman/internal/extension"
-	"ironman/internal/ferret"
 	"ironman/internal/otserv/wire"
 	"ironman/internal/pool"
 )
 
-// testResolve serves small parameter sets so sessions are cheap.
-func testResolve(name string) (ferret.Params, error) {
-	switch name {
-	case "small":
-		return ferret.TestParams(600, 32, 128, 8), nil
-	case "mid":
-		return ferret.TestParams(3000, 32, 512, 16), nil
-	default:
-		return ferret.Params{}, fmt.Errorf("test resolve: unknown set %q", name)
-	}
-}
-
 func startServer(t *testing.T, cfg Config) (addr string, srv *Server) {
 	t.Helper()
-	if cfg.Resolve == nil {
-		cfg.Resolve = testResolve
+	if cfg.DefaultParams == "" {
 		cfg.DefaultParams = "small"
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -124,31 +108,6 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestWorkersClampAndSession: a multi-worker session's correlations
-// verify like a sequential one (the clamp itself is unit-tested in the
-// session package).
-func TestWorkersClampAndSession(t *testing.T) {
-	addr, _ := startServer(t, Config{Workers: 2})
-	c := dial(t, addr)
-	sess, err := c.NewSession(SessionConfig{Params: "small", Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, err := sess.SenderCOTs(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits, y, err := sess.ReceiverCOTs(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, ok := sess.Delta()
-	if !ok {
-		t.Fatal("creator session must know delta")
-	}
-	verify(t, delta, z, bits, y)
-}
-
 func TestAttachSplitsHalves(t *testing.T) {
 	addr, _ := startServer(t, Config{})
 	creator := dial(t, addr)
@@ -211,7 +170,7 @@ func TestDrawChunking(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta, _ := sess.Delta()
-	// 5 batches' worth in one call (batch = 432 for the small set).
+	// 5 batches' worth in one call.
 	n := 5 * sess.Batch()
 	z, err := sess.SenderCOTs(n)
 	if err != nil {
@@ -416,96 +375,6 @@ func TestSharedClientConcurrentSessions(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBackendNegotiation: HELLO negotiates the extension backend, the
-// session handle and STATS report it, and draws verify on every
-// advertised backend.
-func TestBackendNegotiation(t *testing.T) {
-	addr, _ := startServer(t, Config{})
-	c := dial(t, addr)
-	dump, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := extension.Names()
-	if len(dump.Backends) != len(want) {
-		t.Fatalf("advertised backends %v, want %v", dump.Backends, want)
-	}
-	for i, name := range want {
-		if dump.Backends[i] != name {
-			t.Fatalf("advertised backends %v, want %v", dump.Backends, want)
-		}
-	}
-	for _, name := range want {
-		sess, err := c.NewSession(SessionConfig{Params: "small", Backend: name})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if sess.Backend() != name {
-			t.Fatalf("session backend = %q, want %q", sess.Backend(), name)
-		}
-		delta, _ := sess.Delta()
-		z, err := sess.SenderCOTs(100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bits, y, err := sess.ReceiverCOTs(100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verify(t, delta, z, bits, y)
-		st, err := sess.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Backend != name {
-			t.Fatalf("session stats backend = %q, want %q", st.Backend, name)
-		}
-		attached, err := c.Attach(sess.ID(), sess.ReceiverToken())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if attached.Backend() != name {
-			t.Fatalf("attached backend = %q, want %q", attached.Backend(), name)
-		}
-	}
-	// An empty request gets the default backend.
-	sess, err := c.NewSession(SessionConfig{Params: "small"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Backend() != extension.Default {
-		t.Fatalf("default backend = %q, want %q", sess.Backend(), extension.Default)
-	}
-}
-
-// TestBackendRejection: an unsupported backend fails the handshake with
-// the typed sentinel on the client, and the server refuses before any
-// session state (visible as zero sessions opened) exists.
-func TestBackendRejection(t *testing.T) {
-	addr, _ := startServer(t, Config{Backends: []string{"ferret"}})
-	c := dial(t, addr)
-	if _, err := c.NewSession(SessionConfig{Params: "small", Backend: "softspoken"}); !errors.Is(err, ErrBackendUnsupported) {
-		t.Fatalf("err = %v, want ErrBackendUnsupported", err)
-	}
-	if _, err := c.NewSession(SessionConfig{Params: "small", Backend: "iknp-classic"}); !errors.Is(err, ErrBackendUnsupported) {
-		t.Fatalf("err = %v, want ErrBackendUnsupported", err)
-	}
-	dump, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dump.SessionsOpened != 0 || dump.Sessions != 0 {
-		t.Fatalf("rejected HELLOs left session state: %+v", dump)
-	}
-	if len(dump.Backends) != 1 || dump.Backends[0] != "ferret" {
-		t.Fatalf("advertised backends %v, want [ferret]", dump.Backends)
-	}
-	// The allowlisted backend still works.
-	if _, err := c.NewSession(SessionConfig{Params: "small", Backend: "ferret"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestHelloVersioning: future versions AND the retired legacy v1
 // bare-JSON HELLO are refused with the typed sentinel, and a rejected
 // handshake leaves zero session state behind.
@@ -513,12 +382,12 @@ func TestHelloVersioning(t *testing.T) {
 	addr, _ := startServer(t, Config{})
 	c := dial(t, addr)
 
-	// A v3 client (version byte the server does not speak).
-	body, err := json.Marshal(wire.HelloReq{V: 3, Params: "small"})
+	// A future client (version byte the server does not speak).
+	body, err := json.Marshal(wire.HelloReq{V: ProtoVersion + 1, Params: "small"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.roundTrip(append([]byte{wire.OpHello, 3}, body...)); !errors.Is(err, ErrVersionMismatch) {
+	if _, err := c.roundTrip(append([]byte{wire.OpHello, ProtoVersion + 1}, body...)); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("err = %v, want ErrVersionMismatch", err)
 	}
 	// A frame/body version disagreement.

@@ -234,13 +234,13 @@ func (pc *proxyConn) routeByID(id uint64, msg []byte) []byte {
 }
 
 // mergedStats fans a STATS(0) out to every routable shard and merges
-// the dumps into one fleet-wide view (Shard 0, Backends from the
-// first responder, counters summed, sessions concatenated).
+// the dumps into one fleet-wide view (Shard 0, counters summed,
+// sessions concatenated).
 func (pc *proxyConn) mergedStats() []byte {
 	var merged wire.StatsDump
 	gotAny := false
 	for _, view := range pc.r.Shards() {
-		if view.State == "dead" {
+		if view.State != "live" && view.State != "draining" {
 			continue
 		}
 		resp, err := pc.roundTrip(view.Addr, wire.SessionReq(wire.OpStats, 0))
@@ -254,10 +254,7 @@ func (pc *proxyConn) mergedStats() []byte {
 		if err := unmarshalDump(resp[1:], &dump); err != nil {
 			continue
 		}
-		if !gotAny {
-			merged.Backends = dump.Backends
-			gotAny = true
-		}
+		gotAny = true
 		merged.Sessions += dump.Sessions
 		merged.SessionsOpened += dump.SessionsOpened
 		merged.SessionsClosed += dump.SessionsClosed

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"sort"
 	"sync"
@@ -28,6 +29,11 @@ const (
 	// shardDead failed a request or probe; the health loop re-probes it
 	// and revives it (a restarted shard rejoins with empty state).
 	shardDead
+	// shardDuplicate answered a probe with a shard id another live
+	// address already holds. Draws route by id alone, so placing on it
+	// would send its sessions' draws to the other shard; it takes no
+	// placements or routed requests until a re-probe finds the id free.
+	shardDuplicate
 )
 
 func (s shardState) String() string {
@@ -36,10 +42,16 @@ func (s shardState) String() string {
 		return "live"
 	case shardDraining:
 		return "draining"
+	case shardDuplicate:
+		return "duplicate"
 	default:
 		return "dead"
 	}
 }
+
+// routable reports whether requests for existing sessions may be sent
+// to a shard in this state.
+func (s shardState) routable() bool { return s == shardLive || s == shardDraining }
 
 // shard is the router's view of one dispenser process.
 type shard struct {
@@ -112,6 +124,7 @@ type Router struct {
 	mRetries    *obs.Counter // ironman_router_placement_retries_total
 	mDeadMarks  *obs.Counter // ironman_router_dead_marks_total
 	mLeaseErrs  *obs.Counter // ironman_router_lease_errors_total
+	mDupIDs     *obs.Counter // ironman_router_duplicate_shard_ids_total
 }
 
 // New builds a router over the configured shards and starts its
@@ -137,6 +150,7 @@ func New(cfg Config) *Router {
 		mRetries:    reg.Counter("ironman_router_placement_retries_total"),
 		mDeadMarks:  reg.Counter("ironman_router_dead_marks_total"),
 		mLeaseErrs:  reg.Counter("ironman_router_lease_errors_total"),
+		mDupIDs:     reg.Counter("ironman_router_duplicate_shard_ids_total"),
 	}
 	for _, addr := range cfg.Shards {
 		r.AddShard(addr)
@@ -256,27 +270,41 @@ func statsRoundTrip(conn transport.Conn) (wire.StatsDump, error) {
 }
 
 // setState records a shard's probed state and rebuilds the ring on
-// transitions.
+// transitions. A probed id that another routable address already holds
+// parks this shard as a duplicate instead of stealing the id.
 func (r *Router) setState(addr string, st shardState, id uint64, known bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	sh, ok := r.shards[addr]
 	if !ok {
+		r.mu.Unlock()
 		return
 	}
+	var holder string
 	if known {
-		if sh.known && sh.id != id {
+		if sh.known && sh.id != id && r.byID[sh.id] == sh {
 			// The process at this address came back as a different
 			// shard id (operator remapped it); rehome the id index.
 			delete(r.byID, sh.id)
 		}
 		sh.id = id
 		sh.known = true
-		r.byID[id] = sh
+		if other := r.byID[id]; other != nil && other != sh && other.state.routable() {
+			if sh.state != shardDuplicate {
+				holder = other.addr
+			}
+			st = shardDuplicate
+		} else {
+			r.byID[id] = sh
+		}
 	}
 	if sh.state != st {
 		sh.state = st
 		r.rebuildLocked()
+	}
+	r.mu.Unlock()
+	if holder != "" {
+		r.mDupIDs.Inc()
+		log.Printf("router: shard %s reports id %d, already held by %s; not placing on it", addr, id, holder)
 	}
 }
 
@@ -335,7 +363,7 @@ func (r *Router) addrForShard(id uint64) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	sh, ok := r.byID[id]
-	if !ok || sh.state == shardDead {
+	if !ok || !sh.state.routable() {
 		return "", false
 	}
 	return sh.addr, true
@@ -369,23 +397,23 @@ func (r *Router) dropToken(token string) {
 func (r *Router) reattachCandidates(token string) []string {
 	r.mu.Lock()
 	cached, hasCached := r.tokens[token]
+	if hasCached {
+		if sh, ok := r.shards[cached]; !ok || !sh.state.routable() {
+			hasCached = false
+		}
+	}
 	var all []*shard
 	for _, sh := range r.shards {
 		all = append(all, sh)
 	}
-	if hasCached {
-		if sh, ok := r.shards[cached]; !ok || sh.state == shardDead {
-			hasCached = false
-		}
-	}
-	r.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool { return all[i].addr < all[j].addr })
 	var rest []string
 	for _, sh := range all {
-		if sh.state != shardDead && sh.addr != cached {
+		if sh.state.routable() && sh.addr != cached {
 			rest = append(rest, sh.addr)
 		}
 	}
+	r.mu.Unlock()
 	if hasCached {
 		return append([]string{cached}, rest...)
 	}

@@ -7,20 +7,9 @@ import (
 	"time"
 
 	"ironman/internal/block"
-	"ironman/internal/ferret"
 	"ironman/internal/otserv"
 	"ironman/internal/otserv/wire"
 )
-
-// tinyResolve serves parameter sets cheap enough to open dozens of
-// sessions per test.
-func tinyResolve(name string) (ferret.Params, error) {
-	switch name {
-	case "tiny":
-		return ferret.TestParams(600, 32, 128, 8), nil
-	}
-	return ferret.ParamsByName(name)
-}
 
 type testShard struct {
 	srv  *otserv.Server
@@ -31,7 +20,6 @@ type testShard struct {
 func startShard(t *testing.T, shardID uint64) *testShard {
 	t.Helper()
 	srv := otserv.NewServer(otserv.Config{
-		Resolve:       tinyResolve,
 		DefaultParams: "tiny",
 		MaxSessions:   4096,
 		ShardID:       shardID,
@@ -139,6 +127,53 @@ func TestDrawsProxyToOwningShard(t *testing.T) {
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatalf("close via router: %v", err)
+	}
+}
+
+// TestDuplicateShardIDNeverPlaced: two shards that report the same id
+// would route each other's draws; the router keeps the id with the
+// first and never places on the second, so every session draws.
+func TestDuplicateShardIDNeverPlaced(t *testing.T) {
+	first, second := startShard(t, 1), startShard(t, 1)
+	r, addr := startRouter(t, first, second)
+	c := dialRouter(t, addr)
+
+	for i := 0; i < 20; i++ {
+		sess, err := c.NewSession(otserv.SessionConfig{Params: "tiny"})
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		delta, _ := sess.Delta()
+		z, err := sess.SenderCOTs(32)
+		if err != nil {
+			t.Fatalf("session %d: first draw: %v", i, err)
+		}
+		bits, y, err := sess.ReceiverCOTs(32)
+		if err != nil {
+			t.Fatalf("session %d: receiver draw: %v", i, err)
+		}
+		for j := range z {
+			want := y[j]
+			if bits[j] {
+				want = want.Xor(delta)
+			}
+			if z[j] != want {
+				t.Fatalf("session %d: correlation broken at %d", i, j)
+			}
+		}
+	}
+	if n := second.srv.Sessions().Len(); n != 0 {
+		t.Fatalf("router placed %d sessions on the duplicate shard", n)
+	}
+	states := map[string]string{}
+	for _, v := range r.Shards() {
+		states[v.Addr] = v.State
+	}
+	if states[first.addr] != "live" || states[second.addr] != "duplicate" {
+		t.Fatalf("shard states = %v, want first live and second duplicate", states)
+	}
+	if got := r.Registry().Counter("ironman_router_duplicate_shard_ids_total").Value(); got != 1 {
+		t.Fatalf("duplicate shard ids counted %d times, want 1", got)
 	}
 }
 
@@ -276,7 +311,6 @@ func TestKilledShardYieldsTypedLeaseErrorNeverHangs(t *testing.T) {
 	// token still fails typed — a restarted shard cannot resurrect
 	// leases it never had.
 	srv2 := otserv.NewServer(otserv.Config{
-		Resolve:       tinyResolve,
 		DefaultParams: "tiny",
 		MaxSessions:   4096,
 		ShardID:       2,

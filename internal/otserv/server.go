@@ -56,12 +56,11 @@ const (
 
 // Typed failures clients can match with errors.Is.
 var (
-	ErrVersionMismatch    = wire.ErrVersionMismatch
-	ErrBackendUnsupported = wire.ErrBackendUnsupported
-	ErrQuotaExceeded      = wire.ErrQuotaExceeded
-	ErrLeaseExpired       = wire.ErrLeaseExpired
-	ErrPoolDry            = wire.ErrPoolDry
-	ErrDraining           = wire.ErrDraining
+	ErrVersionMismatch = wire.ErrVersionMismatch
+	ErrQuotaExceeded   = wire.ErrQuotaExceeded
+	ErrLeaseExpired    = wire.ErrLeaseExpired
+	ErrPoolDry         = wire.ErrPoolDry
+	ErrDraining        = wire.ErrDraining
 )
 
 // attachment is one conn's view of a session: which halves it may
@@ -298,15 +297,12 @@ func (s *Server) handleHello(body []byte, owned map[uint64]*attachment) []byte {
 		return wire.ErrResponse(err)
 	}
 	sess, err := s.sessions.Open(session.OpenRequest{
-		Params:    req.Params,
-		Backend:   req.Backend,
-		BinaryAES: req.BinaryAES,
-		Depth:     req.Depth,
-		LowWater:  req.LowWater,
-		Workers:   req.Workers,
-		Tenant:    req.Tenant,
-		Lease:     time.Duration(req.LeaseMS) * time.Millisecond,
-		Token:     req.SessionToken,
+		Params:   req.Params,
+		Depth:    req.Depth,
+		LowWater: req.LowWater,
+		Tenant:   req.Tenant,
+		Lease:    time.Duration(req.LeaseMS) * time.Millisecond,
+		Token:    req.SessionToken,
 	})
 	if err != nil {
 		return wire.ErrResponse(err)
@@ -317,7 +313,6 @@ func (s *Server) handleHello(body []byte, owned map[uint64]*attachment) []byte {
 		Session:       sess.ID(),
 		Shard:         wire.ShardOf(sess.ID()),
 		Params:        sess.Params(),
-		Backend:       sess.Backend(),
 		Batch:         sess.Batch(),
 		DeltaLo:       delta.Lo,
 		DeltaHi:       delta.Hi,
@@ -361,7 +356,6 @@ func (s *Server) handleAttach(body []byte, owned map[uint64]*attachment) []byte 
 		Session: sess.ID(),
 		Shard:   wire.ShardOf(sess.ID()),
 		Params:  sess.Params(),
-		Backend: sess.Backend(),
 		Batch:   sess.Batch(),
 		Role:    role,
 		LeaseMS: sess.Lease().Milliseconds(),

@@ -45,7 +45,6 @@ type Registry struct {
 	tombs    map[string]time.Time // routing token -> teardown instant
 	tenants  map[string]*tenant
 	seq      uint64
-	pending  int // Opens past reservation, not yet registered
 	opened   uint64
 	closed   uint64
 	expired  uint64
@@ -99,9 +98,6 @@ func (r *Registry) ShardID() uint64 { return r.cfg.ShardID }
 // Obs is the metrics registry the sessions report into.
 func (r *Registry) Obs() *obs.Registry { return r.reg }
 
-// Backends is the extension-backend allowlist this registry serves.
-func (r *Registry) Backends() []string { return r.cfg.Backends }
-
 func (r *Registry) janitor() {
 	defer close(r.done)
 	tick := time.NewTicker(r.cfg.Sweep)
@@ -127,20 +123,18 @@ func (r *Registry) tenantLocked(name string) *tenant {
 	return tn
 }
 
-// Open mints a session: backend negotiation and tenant admission first
-// (zero state exists when they refuse), then the dealt extension pair,
-// then registration under a shard-scoped id. The caller holds the
+// Open mints a session: fresh secrets first (cheap, outside the
+// lock), then admission and registration under a shard-scoped id in
+// one critical section, so a refused open leaves no state behind and
+// concurrent opens cannot oversubscribe MaxSessions. It returns once
+// the session's pool holds its prefetch depth. The caller holds the
 // creator reference (refcount 1).
 func (r *Registry) Open(req OpenRequest) (*Session, error) {
-	backend, err := r.cfg.backend(req.Backend)
-	if err != nil {
-		return nil, err
-	}
 	name := req.Params
 	if name == "" {
 		name = r.cfg.DefaultParams
 	}
-	params, err := r.cfg.Resolve(name)
+	params, err := resolveParams(name)
 	if err != nil {
 		return nil, err
 	}
@@ -151,64 +145,20 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 	if depth > r.cfg.MaxDepth {
 		depth = r.cfg.MaxDepth
 	}
-
-	// Reserve a slot: capacity and tenant admission are charged before
-	// the expensive pair construction so a rejected open is cheap, and
-	// concurrent opens cannot oversubscribe MaxSessions.
-	r.mu.Lock()
-	if r.shut {
-		r.mu.Unlock()
-		return nil, errors.New("session: registry closed")
-	}
-	if r.draining {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: shard %d is draining", wire.ErrDraining, r.cfg.ShardID)
-	}
-	if len(r.sessions)+r.pending >= r.cfg.MaxSessions {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("session: session limit %d reached", r.cfg.MaxSessions)
-	}
-	tn := r.tenantLocked(req.Tenant)
-	if cap := r.cfg.Quota.SessionsPerTenant; cap > 0 && tn.open >= cap {
-		r.quota++
-		r.mQuota.Inc()
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: tenant session limit %d reached", wire.ErrQuotaExceeded, cap)
-	}
-	if req.Token != "" {
-		if _, dup := r.byToken[req.Token]; dup {
-			r.mu.Unlock()
-			return nil, errors.New("session: routing token already in use")
-		}
-	}
-	tn.open++
-	r.pending++
-	r.mu.Unlock()
-
-	sess, src, err := openSession(r.cfg, name, backend, params, req)
+	sess, src, err := openSession(r.cfg, name, params, req)
 	if err != nil {
-		r.mu.Lock()
-		tn.open--
-		r.pending--
+		return nil, err
+	}
+
+	r.mu.Lock()
+	if err := r.admitLocked(sess); err != nil {
 		r.mu.Unlock()
 		return nil, err
 	}
+	tn := r.tenantLocked(sess.tenant)
+	tn.open++
 	sess.bucket = tn.bucket
 	sess.reg = r
-
-	r.mu.Lock()
-	r.pending--
-	if r.shut || r.draining {
-		tn.open--
-		drain := r.draining
-		r.mu.Unlock()
-		_ = sess.connA.Close()
-		_ = sess.connB.Close()
-		if drain {
-			return nil, fmt.Errorf("%w: shard %d is draining", wire.ErrDraining, r.cfg.ShardID)
-		}
-		return nil, errors.New("session: registry closed")
-	}
 	r.seq++
 	sess.id = wire.SessionID(r.cfg.ShardID, r.seq)
 	sess.labels = obs.Labels("session", fmt.Sprint(sess.id))
@@ -228,7 +178,33 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 	r.mSessions.Set(int64(len(r.sessions)))
 	r.mOpened.Inc()
 	r.mu.Unlock()
+	// Deal the prefetch before answering, so the session's first draws
+	// neither wait for nor share the cores with its initial refills.
+	sess.pool.Warm()
 	return sess, nil
+}
+
+// admitLocked refuses an open the shard cannot take: closed,
+// draining, full, over the tenant's session quota, or reusing a live
+// routing token. The caller holds r.mu.
+func (r *Registry) admitLocked(sess *Session) error {
+	switch {
+	case r.shut:
+		return errors.New("session: registry closed")
+	case r.draining:
+		return fmt.Errorf("%w: shard %d is draining", wire.ErrDraining, r.cfg.ShardID)
+	case len(r.sessions) >= r.cfg.MaxSessions:
+		return fmt.Errorf("session: session limit %d reached", r.cfg.MaxSessions)
+	}
+	if cap := r.cfg.Quota.SessionsPerTenant; cap > 0 && r.tenantLocked(sess.tenant).open >= cap {
+		r.quota++
+		r.mQuota.Inc()
+		return fmt.Errorf("%w: tenant session limit %d reached", wire.ErrQuotaExceeded, cap)
+	}
+	if _, dup := r.byToken[sess.token]; dup {
+		return errors.New("session: routing token already in use")
+	}
+	return nil
 }
 
 // AttachByID joins a session by its shard-scoped numeric id. A missing
@@ -301,8 +277,7 @@ func (r *Registry) Detach(id uint64, orphan bool) {
 	}
 	r.unregisterLocked(sess, false)
 	r.mu.Unlock()
-	teardown(sess)
-	r.dropSeries(sess)
+	r.teardown(sess)
 }
 
 // Expire tears down every orphan whose lease ran out as of now,
@@ -327,15 +302,14 @@ func (r *Registry) Expire(now time.Time) int {
 	}
 	r.mu.Unlock()
 	for _, sess := range doomed {
-		teardown(sess)
-		r.dropSeries(sess)
+		r.teardown(sess)
 	}
 	return len(doomed)
 }
 
 // unregisterLocked removes a session from the maps and records the
 // tombstone and counters; the caller holds r.mu and must run teardown
-// + dropSeries after unlocking (pool.Close waits on the worker).
+// after unlocking (pool.Close waits on the worker).
 func (r *Registry) unregisterLocked(sess *Session, expired bool) {
 	delete(r.sessions, sess.id)
 	delete(r.byToken, sess.token)
@@ -358,18 +332,11 @@ func (r *Registry) unregisterLocked(sess *Session, expired bool) {
 	r.mSessions.Set(int64(len(r.sessions)))
 }
 
-// teardown stops a session's prefetch worker and closes its pipes.
-// pool.Close completes the in-flight lockstep iteration first (the
-// worker drives both pipe endpoints, so it cannot wedge).
-func teardown(sess *Session) {
-	_ = sess.pool.Close()
-	_ = sess.connA.Close()
-	_ = sess.connB.Close()
-}
-
-// dropSeries retires the session's metric series so registry
+// teardown stops a session's prefetch worker (pool.Close waits for
+// the in-flight deal) and retires its metric series, so registry
 // cardinality stays bounded by live sessions, not lifetime count.
-func (r *Registry) dropSeries(sess *Session) {
+func (r *Registry) teardown(sess *Session) {
+	_ = sess.pool.Close()
 	key := "{" + sess.labels + ","
 	r.reg.Drop(func(name string) bool { return strings.Contains(name, key) })
 }
@@ -436,8 +403,7 @@ func (r *Registry) Close() {
 	r.mu.Unlock()
 	close(r.stop)
 	for _, sess := range doomed {
-		teardown(sess)
-		r.dropSeries(sess)
+		r.teardown(sess)
 	}
 	<-r.done
 }
@@ -481,7 +447,6 @@ func (r *Registry) Dump() wire.StatsDump {
 		DrySheds:        r.dry,
 		MaxSessions:     r.cfg.MaxSessions,
 		Draining:        r.draining,
-		Backends:        r.cfg.Backends,
 	}
 	type entry struct {
 		sess      *Session

@@ -1,6 +1,6 @@
-// Package session is the backend-agnostic state layer of the OT
-// dispenser: it owns every per-session fact — the fleet-wide routing
-// token, the Δ-scoped prefetching pool, the lease that keeps a
+// Package session is the state layer of the OT dispenser: it owns
+// every per-session fact — the fleet-wide routing token, the dealer
+// and its Δ-scoped prefetching pool, the lease that keeps a
 // disconnected client's pool position alive, the per-half capability
 // tokens and draw roles, the tenant, and the refcount — and none of
 // the wire framing or connection handling. Transports (the otserv
@@ -29,29 +29,23 @@ import (
 	"crypto/rand"
 	"crypto/subtle"
 	"encoding/hex"
-	"fmt"
-	"sort"
-	"strings"
 	"time"
 
+	"ironman/internal/aesprg"
 	"ironman/internal/block"
-	"ironman/internal/extension"
+	"ironman/internal/cot"
 	"ironman/internal/ferret"
 	"ironman/internal/obs"
 	"ironman/internal/otserv/wire"
-	"ironman/internal/parallel"
 	"ironman/internal/pool"
-	"ironman/internal/transport"
 )
 
-// Config tunes the session registry. The zero value is usable: Table 4
-// parameter lookup, "2^20" default set, depth-2 prefetch, 64 sessions,
-// 15 s leases.
+// Config tunes the session registry. The zero value is usable: "2^20"
+// default set, depth-2 prefetch, 64 sessions, 15 s leases.
 type Config struct {
-	// Resolve maps a handshake params name to a parameter set; nil
-	// selects ferret.ParamsByName (Table 4).
-	Resolve func(name string) (ferret.Params, error)
-	// DefaultParams is used when an open names no set. Default "2^20".
+	// DefaultParams is used when an open names no set: a Table 4 name
+	// or one of the CI-scale sets "tiny"/"small" (see resolveParams).
+	// Default "2^20".
 	DefaultParams string
 	// Depth is the per-session prefetch depth (batches) when a session
 	// requests none. Default 2.
@@ -61,15 +55,6 @@ type Config struct {
 	// MaxSessions bounds concurrently open sessions on this shard.
 	// Default 64.
 	MaxSessions int
-	// Backends is the extension-backend allowlist this registry serves;
-	// opens naming anything else are rejected with
-	// wire.ErrBackendUnsupported before any session state is created.
-	// nil serves every registered backend (extension.Names).
-	Backends []string
-	// Workers is the per-session Extend worker cap applied when an open
-	// requests none, and the clamp for opens that request more. 0
-	// selects runtime.GOMAXPROCS.
-	Workers int
 	// ShardID scopes this registry's session ids: ids are
 	// wire.SessionID(ShardID, seq), so a fleet router can route a draw
 	// from the id alone. 0 is the standalone dispenser.
@@ -103,9 +88,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Resolve == nil {
-		c.Resolve = ferret.ParamsByName
-	}
 	if c.DefaultParams == "" {
 		c.DefaultParams = "2^20"
 	}
@@ -117,12 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
-	}
-	if len(c.Backends) == 0 {
-		c.Backends = extension.Names()
-	} else {
-		c.Backends = append([]string(nil), c.Backends...)
-		sort.Strings(c.Backends)
 	}
 	if c.Lease <= 0 {
 		c.Lease = 15 * time.Second
@@ -154,44 +130,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backend resolves an open's backend request against the allowlist.
-// Failures wrap wire.ErrBackendUnsupported and happen before any
-// session state exists.
-func (c Config) backend(name string) (extension.Backend, error) {
-	if name == "" {
-		name = extension.Default
+// resolveParams maps a params name to its set: the paper's Table 4
+// names, plus two CI-scale sets cheap enough to open hundreds of
+// sessions on a laptop. A session only takes its batch size (the
+// set's Usable yield) from the set.
+func resolveParams(name string) (ferret.Params, error) {
+	switch name {
+	case "tiny":
+		return ferret.TestParams(600, 32, 128, 8), nil
+	case "small":
+		return ferret.TestParams(3000, 32, 512, 16), nil
 	}
-	for _, allowed := range c.Backends {
-		if name == allowed {
-			b, err := extension.ByName(name)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", wire.ErrBackendUnsupported, err)
-			}
-			return b, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %q (this server serves: %s)",
-		wire.ErrBackendUnsupported, name, strings.Join(c.Backends, " "))
-}
-
-// workers resolves an open's Extend worker request against the
-// registry cap: 0 inherits the cap, larger requests clamp to it.
-func (c Config) workers(requested int) int {
-	cap := parallel.Workers(c.Workers)
-	if requested <= 0 || requested > cap {
-		return cap
-	}
-	return requested
+	return ferret.ParamsByName(name)
 }
 
 // OpenRequest shapes one session open (a transport's parsed HELLO).
 type OpenRequest struct {
-	Params    string
-	Backend   string
-	BinaryAES bool
-	Depth     int
-	LowWater  int
-	Workers   int
+	Params   string
+	Depth    int
+	LowWater int
 	// Tenant names the accounting principal; "" is the anonymous
 	// default tenant.
 	Tenant string
@@ -208,21 +165,18 @@ type OpenRequest struct {
 // tenant, and the Δ-scoped prefetching pool. All mutable fields are
 // guarded by the owning Registry's mutex.
 type Session struct {
-	id          uint64
-	token       string // fleet routing token (routes, does not authorize)
-	paramsName  string
-	backendName string
-	tenant      string
-	batch       int
-	lease       time.Duration
-	delta       block.Block
-	tokenS      string // attach capability for the sender half
-	tokenR      string // attach capability for the receiver half
-	pool        *pool.Dealt
-	connA       transport.Conn // in-process pipe endpoints backing the
-	connB       transport.Conn // session's dealt extension pair
-	bucket      *bucket        // tenant quota admission
-	reg         *Registry
+	id         uint64
+	token      string // fleet routing token (routes, does not authorize)
+	paramsName string
+	tenant     string
+	batch      int
+	lease      time.Duration
+	delta      block.Block
+	tokenS     string // attach capability for the sender half
+	tokenR     string // attach capability for the receiver half
+	pool       *pool.Dealt
+	bucket     *bucket // tenant quota admission
+	reg        *Registry
 	// obsS/obsR mirror the pool halves into the metrics registry; the
 	// STATS protocol serves from these (pool.Stats agrees by the
 	// Observer contract). labels is the shared per-session label set,
@@ -245,13 +199,10 @@ func (s *Session) Token() string { return s.token }
 // Params names the session's parameter set.
 func (s *Session) Params() string { return s.paramsName }
 
-// Backend names the session's negotiated extension backend.
-func (s *Session) Backend() string { return s.backendName }
-
 // Tenant names the session's accounting principal.
 func (s *Session) Tenant() string { return s.tenant }
 
-// Batch is the per-Extend correlation yield.
+// Batch is the correlations dealt per refill.
 func (s *Session) Batch() int { return s.batch }
 
 // Lease is the session's orphan grace window.
@@ -325,7 +276,6 @@ func (s *Session) stats(refs int, expiresIn time.Duration) wire.SessionStats {
 		ID:       s.id,
 		Shard:    wire.ShardOf(s.id),
 		Params:   s.paramsName,
-		Backend:  s.backendName,
 		Tenant:   s.tenant,
 		Refs:     refs,
 		Sender:   halfStats(s.obsS.Snapshot()),
@@ -366,17 +316,24 @@ func newToken() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// openSession constructs the in-process dealt extension pair for a resolved
-// open request and returns the unregistered session plus its refill
-// source. Called without the registry lock (pair construction runs
-// base OTs); the registry assigns the id, observers, and pool when it
+// openSession mints a session's secrets for a resolved open request
+// and returns the unregistered session plus its refill source: a
+// dealer over one AES-CTR stream keyed from crypto/rand, which also
+// yields Δ. The registry assigns the id, observers, and pool when it
 // registers the session.
-func openSession(cfg Config, name string, backend extension.Backend, params ferret.Params, req OpenRequest) (*Session, pool.DealtRefill, error) {
-	var deltaBytes [block.Size]byte
-	if _, err := rand.Read(deltaBytes[:]); err != nil {
+func openSession(cfg Config, name string, params ferret.Params, req OpenRequest) (*Session, pool.DealtRefill, error) {
+	var seed [block.Size]byte
+	if _, err := rand.Read(seed[:]); err != nil {
 		return nil, nil, err
 	}
-	delta := block.FromBytes(deltaBytes[:])
+	prg := aesprg.NewStream(block.FromBytes(seed[:]))
+	delta := prg.Block()
+	batch := params.Usable()
+	src := func() ([]block.Block, []bool, []block.Block, error) {
+		z, bits, y := make([]block.Block, batch), make([]bool, batch), make([]block.Block, batch)
+		cot.Deal(prg, delta, z, bits, y)
+		return z, bits, y, nil
+	}
 	tokenS, err := newToken()
 	if err != nil {
 		return nil, nil, err
@@ -392,21 +349,6 @@ func openSession(cfg Config, name string, backend extension.Backend, params ferr
 		}
 	}
 
-	eo := extension.Options{
-		Workers:   cfg.workers(req.Workers),
-		BinaryAES: req.BinaryAES,
-	}
-	connA, connB := transport.Pipe()
-	es, er, err := backend.DealPair(connA, connB, delta, params, eo)
-	if err != nil {
-		_ = connA.Close()
-		_ = connB.Close()
-		return nil, nil, err
-	}
-	src := func() ([]block.Block, []bool, []block.Block, error) {
-		return extension.ExtendLockstep(es, er)
-	}
-
 	lease := req.Lease
 	if lease <= 0 {
 		lease = cfg.Lease
@@ -416,18 +358,15 @@ func openSession(cfg Config, name string, backend extension.Backend, params ferr
 	}
 
 	sess := &Session{
-		token:       routeToken,
-		paramsName:  name,
-		backendName: backend.Name(),
-		tenant:      req.Tenant,
-		batch:       backend.Batch(params),
-		lease:       lease,
-		delta:       delta,
-		tokenS:      tokenS,
-		tokenR:      tokenR,
-		connA:       connA,
-		connB:       connB,
-		refs:        1,
+		token:      routeToken,
+		paramsName: name,
+		tenant:     req.Tenant,
+		batch:      batch,
+		lease:      lease,
+		delta:      delta,
+		tokenS:     tokenS,
+		tokenR:     tokenR,
+		refs:       1,
 	}
 	return sess, src, nil
 }

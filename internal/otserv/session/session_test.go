@@ -7,23 +7,11 @@ import (
 	"time"
 
 	"ironman/internal/block"
-	"ironman/internal/ferret"
 	"ironman/internal/otserv/wire"
 )
 
-// tinyResolve serves parameter sets cheap enough to open many sessions
-// in a unit test.
-func tinyResolve(name string) (ferret.Params, error) {
-	switch name {
-	case "tiny":
-		return ferret.TestParams(600, 32, 128, 8), nil
-	}
-	return ferret.ParamsByName(name)
-}
-
 func testConfig() Config {
 	return Config{
-		Resolve:       tinyResolve,
 		DefaultParams: "tiny",
 		MaxSessions:   32,
 		Sweep:         time.Hour, // tests drive Expire by hand
@@ -70,6 +58,57 @@ func TestOpenStampsShardScopedIDs(t *testing.T) {
 	}
 	if sess.Token() == sess.SenderToken() || sess.Token() == sess.ReceiverToken() {
 		t.Fatal("routing token must differ from the capabilities")
+	}
+}
+
+// TestDealtAcrossRefills: a session deals its stream one batch per
+// refill. Draws that run through several refills, one of them
+// straddling a batch boundary, all verify against the session's Δ,
+// and two sessions deal independent streams.
+func TestDealtAcrossRefills(t *testing.T) {
+	r := newTestRegistry(t, testConfig())
+	a, err := r.Open(OpenRequest{Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Open(OpenRequest{Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny, err := resolveParams("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := a.Batch()
+	if batch != tiny.Usable() {
+		t.Fatalf("batch = %d, want the tiny set's usable yield %d", batch, tiny.Usable())
+	}
+	// batch-100, then 200 across the first boundary, then two more
+	// batches: 3·batch+100 correlations over four refills.
+	var first block.Block
+	for i, n := range []int{batch - 100, 200, 2 * batch} {
+		z, err := a.DrawSender(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits, y, err := a.DrawReceiver(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verifyCOTs(t, a.Delta(), z, bits, y)
+		if i == 0 {
+			first = z[0]
+		}
+	}
+	if sender, receiver := a.PoolStats(); sender.Refills < 3 || receiver.Refills < 3 {
+		t.Fatalf("draws took %d/%d refills, want at least 3", sender.Refills, receiver.Refills)
+	}
+	zb, err := b.DrawSender(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zb[0] == first || a.Delta() == b.Delta() {
+		t.Fatal("two sessions dealt the same stream")
 	}
 }
 
@@ -325,33 +364,5 @@ func TestConcurrentExpiryVsDraw(t *testing.T) {
 	wg.Wait()
 	if r.Len() != 0 {
 		t.Fatalf("%d sessions live after expiry", r.Len())
-	}
-}
-
-// TestWorkerClamp: worker requests clamp to the registry cap.
-func TestWorkerClamp(t *testing.T) {
-	cfg := Config{Workers: 2}.withDefaults()
-	if got := cfg.workers(0); got != 2 {
-		t.Fatalf("default workers = %d, want cap 2", got)
-	}
-	if got := cfg.workers(1); got != 1 {
-		t.Fatalf("requested 1 worker, got %d", got)
-	}
-	if got := cfg.workers(64); got != 2 {
-		t.Fatalf("oversized request = %d, want clamp to 2", got)
-	}
-}
-
-// TestBackendAllowlist: opens naming a backend outside the registry's
-// allowlist shed typed before any session state exists.
-func TestBackendAllowlist(t *testing.T) {
-	cfg := testConfig()
-	cfg.Backends = []string{"ferret"}
-	r := newTestRegistry(t, cfg)
-	if _, err := r.Open(OpenRequest{Backend: "no-such-backend"}); !errors.Is(err, wire.ErrBackendUnsupported) {
-		t.Fatalf("err = %v, want ErrBackendUnsupported", err)
-	}
-	if r.Len() != 0 {
-		t.Fatal("refused open leaked session state")
 	}
 }

@@ -12,7 +12,8 @@
 //	response = status:1 body        status 0 = ok, body per op
 //	                                status 1 = error string
 //	                                status 2 = version mismatch
-//	                                status 3 = backend unsupported
+//	                                status 3 = retired (was: backend
+//	                                           unsupported, v2)
 //	                                status 4 = tenant quota exceeded
 //	                                status 5 = session lease expired/lost
 //	                                status 6 = pool dry (generation behind)
@@ -27,10 +28,10 @@
 //	CLOSE  op=6 session:8            -> empty (drops one attachment)
 //
 // The HELLO body leads with one protocol-version byte (ProtoVersion,
-// currently 2) so version negotiation happens before the server parses
-// anything else. The legacy v1 bare-JSON HELLO body (no version byte)
-// was accepted for one release window after v2 landed; that window is
-// over and v1 HELLOs are now rejected with ErrVersionMismatch.
+// currently 3) so version negotiation happens before the server parses
+// anything else. Any other version — a v2 client that still sends the
+// retired backend/worker fields, or the legacy v1 bare-JSON body with
+// no version byte — is rejected with ErrVersionMismatch.
 //
 // Session identity is two-level. The numeric session id names a
 // session on one shard, and its top bits carry the shard id
@@ -56,9 +57,10 @@ import (
 )
 
 // ProtoVersion is bumped on incompatible wire changes. Version 2 added
-// the HELLO leading version byte and backend negotiation; the fleet
-// fields (tenant, lease, session token) are additive within v2.
-const ProtoVersion = 2
+// the HELLO leading version byte and backend negotiation; version 3
+// removed backend negotiation and the per-session worker knob, since
+// the dispenser deals sessions instead of running a protocol for them.
+const ProtoVersion = 3
 
 // Request opcodes.
 const (
@@ -80,9 +82,6 @@ const (
 	// StatusErrVersion rejects a HELLO whose protocol version the
 	// server does not speak.
 	StatusErrVersion byte = 2
-	// StatusErrBackend rejects a HELLO naming an extension backend the
-	// server does not serve. Sent before any session state exists.
-	StatusErrBackend byte = 3
 	// StatusErrQuota sheds a request the tenant's draw quota cannot
 	// admit within its bounded wait.
 	StatusErrQuota byte = 4
@@ -101,12 +100,6 @@ const (
 // version the peer does not speak; match with errors.Is on both the
 // server's handshake path and the client's NewSession error.
 var ErrVersionMismatch = errors.New("otserv: protocol version mismatch")
-
-// ErrBackendUnsupported is the typed rejection for a HELLO naming an
-// extension backend the server does not serve. The server refuses
-// before creating any session state, so no draw traffic ever flows for
-// a misnegotiated backend; match with errors.Is.
-var ErrBackendUnsupported = errors.New("otserv: backend unsupported")
 
 // ErrQuotaExceeded is the typed shed for a request the tenant's draw
 // quota cannot admit: the token bucket is empty and the bounded wait
@@ -130,10 +123,9 @@ var ErrPoolDry = errors.New("otserv: pool dry")
 var ErrDraining = errors.New("otserv: server draining")
 
 // statusErrs orders the typed sentinels by their status byte; index 0
-// and 1 (OK, free-form) have no sentinel.
+// and 1 (OK, free-form) and the retired 3 have no sentinel.
 var statusErrs = []error{
 	StatusErrVersion:  ErrVersionMismatch,
-	StatusErrBackend:  ErrBackendUnsupported,
 	StatusErrQuota:    ErrQuotaExceeded,
 	StatusErrLease:    ErrLeaseExpired,
 	StatusErrDry:      ErrPoolDry,
@@ -145,7 +137,7 @@ var statusErrs = []error{
 // to the free-form StatusErr.
 func StatusOf(err error) byte {
 	for status := StatusErrVersion; int(status) < len(statusErrs); status++ {
-		if errors.Is(err, statusErrs[status]) {
+		if statusErrs[status] != nil && errors.Is(err, statusErrs[status]) {
 			return status
 		}
 	}
@@ -191,20 +183,10 @@ const MaxDraw = 1 << 21
 
 // HelloReq is the JSON body of a HELLO (after the version byte).
 type HelloReq struct {
-	V      int    `json:"v"`
-	Params string `json:"params,omitempty"` // "" selects the server default
-	// Backend names the extension backend the session should run on
-	// ("" = the server's default, extension.Default). The server
-	// advertises what it serves in StatsDump.Backends and rejects
-	// unsupported names with StatusErrBackend before opening anything.
-	Backend   string `json:"backend,omitempty"`
-	BinaryAES bool   `json:"binary_aes,omitempty"`
-	Depth     int    `json:"depth,omitempty"` // prefetch batches; 0 = server default
-	LowWater  int    `json:"low_water,omitempty"`
-	// Workers is the session's Extend worker-goroutine cap; 0 selects
-	// the server default. Requests are clamped to the server's cap so
-	// one greedy session cannot oversubscribe the host.
-	Workers int `json:"workers,omitempty"`
+	V        int    `json:"v"`
+	Params   string `json:"params,omitempty"` // "" selects the server default
+	Depth    int    `json:"depth,omitempty"`  // prefetch batches; 0 = server default
+	LowWater int    `json:"low_water,omitempty"`
 	// Tenant names the accounting principal the session draws under;
 	// "" is the anonymous default tenant. Quotas and the per-tenant
 	// metric series key off it.
@@ -224,8 +206,7 @@ type HelloResp struct {
 	Session uint64 `json:"session"`
 	Shard   uint64 `json:"shard"`
 	Params  string `json:"params"`
-	Backend string `json:"backend"` // negotiated extension backend
-	Batch   int    `json:"batch"`   // correlations per Extend batch
+	Batch   int    `json:"batch"` // correlations dealt per refill
 	DeltaLo uint64 `json:"delta_lo"`
 	DeltaHi uint64 `json:"delta_hi"`
 	// SessionToken is the fleet-wide routing handle: hash key for the
@@ -267,7 +248,6 @@ type AttachResp struct {
 	Session uint64 `json:"session"`
 	Shard   uint64 `json:"shard"`
 	Params  string `json:"params"`
-	Backend string `json:"backend"`
 	Batch   int    `json:"batch"`
 	Role    Role   `json:"role"`
 	LeaseMS int64  `json:"lease_ms"`
@@ -286,12 +266,11 @@ type HalfStats struct {
 
 // SessionStats is one session's STATS view.
 type SessionStats struct {
-	ID      uint64 `json:"id"`
-	Shard   uint64 `json:"shard"`
-	Params  string `json:"params"`
-	Backend string `json:"backend"`
-	Tenant  string `json:"tenant,omitempty"`
-	Refs    int    `json:"refs"`
+	ID     uint64 `json:"id"`
+	Shard  uint64 `json:"shard"`
+	Params string `json:"params"`
+	Tenant string `json:"tenant,omitempty"`
+	Refs   int    `json:"refs"`
 	// Orphaned is true while no client holds the session and the lease
 	// clock is running; ExpiresInMS is the remaining window then.
 	Orphaned    bool      `json:"orphaned,omitempty"`
@@ -311,13 +290,11 @@ type StatsDump struct {
 	// SessionsClosed).
 	SessionsExpired uint64 `json:"sessions_expired"`
 	// QuotaSheds / DrySheds count typed rejections served.
-	QuotaSheds  uint64 `json:"quota_sheds"`
-	DrySheds    uint64 `json:"dry_sheds"`
-	MaxSessions int    `json:"max_sessions"`
-	Draining    bool   `json:"draining,omitempty"`
-	// Backends is the server's advertised extension-backend allowlist.
-	Backends   []string       `json:"backends"`
-	PerSession []SessionStats `json:"per_session,omitempty"`
+	QuotaSheds  uint64         `json:"quota_sheds"`
+	DrySheds    uint64         `json:"dry_sheds"`
+	MaxSessions int            `json:"max_sessions"`
+	Draining    bool           `json:"draining,omitempty"`
+	PerSession  []SessionStats `json:"per_session,omitempty"`
 }
 
 // HelloBody frames a HELLO request body: the protocol version byte

@@ -10,9 +10,9 @@ import (
 
 func TestParseHelloRoundTrip(t *testing.T) {
 	req := HelloReq{
-		V: ProtoVersion, Params: "2^20", Backend: "ferret",
+		V: ProtoVersion, Params: "2^20",
 		Tenant: "acme", LeaseMS: 1500, SessionToken: "aabbcc",
-		Depth: 3, Workers: 2,
+		Depth: 3,
 	}
 	body, err := HelloBody(req)
 	if err != nil {
@@ -41,13 +41,18 @@ func TestParseHelloRejectsLegacyV1(t *testing.T) {
 }
 
 func TestParseHelloVersionRejections(t *testing.T) {
-	body, err := json.Marshal(HelloReq{V: 3, Params: "small"})
+	body, err := json.Marshal(HelloReq{V: ProtoVersion + 1, Params: "small"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := json.Marshal(HelloReq{V: 2, Params: "small"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, frame := range map[string][]byte{
-		"future version byte":   append([]byte{3}, body...),
+		"future version byte":   append([]byte{ProtoVersion + 1}, body...),
 		"frame/body mismatch":   append([]byte{ProtoVersion}, body...),
+		"v2 client":             append([]byte{2}, v2...),
 		"empty body":            {},
 		"unversioned zero byte": {0},
 	} {
@@ -62,7 +67,7 @@ func TestParseHelloVersionRejections(t *testing.T) {
 // errors.Is match, and unknown errors stay free-form.
 func TestStatusErrorMapping(t *testing.T) {
 	for _, sentinel := range []error{
-		ErrVersionMismatch, ErrBackendUnsupported, ErrQuotaExceeded,
+		ErrVersionMismatch, ErrQuotaExceeded,
 		ErrLeaseExpired, ErrPoolDry, ErrDraining,
 	} {
 		status := StatusOf(sentinel)

@@ -15,13 +15,15 @@
 // asynchronous refills put protocol traffic on the pool's conn from a
 // background goroutine. The conn must therefore be dedicated to
 // correlation generation while a Depth > 0 pool is open; multiplex
-// application traffic onto a second conn. Dealt keeps both endpoints
-// of an in-process pair in lockstep under one worker, which is what
-// the otserv dispenser builds sessions from.
+// application traffic onto a second conn. Dealt buffers both halves
+// of a dealt stream under one worker; the otserv dispenser builds its
+// sessions from one over a correlation dealer.
 //
-// The ready buffer is compacted as it drains: unlike the seed's
-// `buf = buf[n:]` pattern, a consumed prefix never pins the backing
-// array once it dominates the buffer.
+// The ready buffer is a queue of source batches: a refill queues its
+// batch without copying it under the pool lock, draws copy out of the
+// front batch, and each batch is released once drained — unlike the
+// seed's `buf = buf[n:]` pattern, consumed correlations never pin more
+// than the batch being drawn from.
 //
 // Refill parallelism lives inside the source, not the pool: a source
 // built from a ferret endpoint with Options.Workers > 1 shards each
@@ -57,10 +59,6 @@ var ErrRetained = errors.New("pool: paired half at retention cap")
 // to its typed pool-dry protocol status). Never returned when both
 // bounds are disabled.
 var ErrDry = errors.New("pool: dry")
-
-// compactMin is the consumed-prefix size (in correlations) below which
-// compaction is not worth the copy.
-const compactMin = 1024
 
 // Config tunes a pool.
 type Config struct {
@@ -298,63 +296,68 @@ func (c *core) close() {
 	c.wg.Wait()
 }
 
-// blockBuf is a draining block buffer with prefix compaction.
-type blockBuf struct {
-	buf  []block.Block
-	head int
+// fifo is a draining queue of source batches. push keeps the batch
+// slice as is, pop copies a draw out of the oldest batches, and a
+// drained batch is dropped at once.
+type fifo[T any] struct {
+	buf   []T   // front batch
+	head  int   // drawn prefix of buf
+	queue [][]T // batches behind buf, oldest first
+	n     int   // ready elements
 }
 
-func (b *blockBuf) ready() int { return len(b.buf) - b.head }
+func (f *fifo[T]) ready() int { return f.n }
 
-func (b *blockBuf) push(z []block.Block) { b.buf = append(b.buf, z...) }
+func (f *fifo[T]) push(batch []T) {
+	f.queue = append(f.queue, batch)
+	f.n += len(batch)
+}
 
-// pop copies out n correlations and compacts the buffer once the
-// consumed prefix dominates, so dispensed correlations never pin the
-// pool's backing array.
-func (b *blockBuf) pop(n int) []block.Block {
-	out := make([]block.Block, n)
-	copy(out, b.buf[b.head:b.head+n])
-	b.head += n
-	if b.head >= compactMin && b.head*2 >= len(b.buf) {
-		rest := copy(b.buf, b.buf[b.head:])
-		b.buf = b.buf[:rest]
-		b.head = 0
+// pop copies out the next n elements; n must not exceed ready().
+func (f *fifo[T]) pop(n int) []T {
+	out := make([]T, n)
+	for off := 0; off < n; {
+		if f.head == len(f.buf) {
+			f.buf, f.head = f.queue[0], 0
+			f.queue[0] = nil
+			f.queue = f.queue[1:]
+		}
+		k := copy(out[off:], f.buf[f.head:])
+		f.head += k
+		off += k
 	}
+	if f.head == len(f.buf) {
+		f.buf, f.head = nil, 0
+	}
+	f.n -= n
 	return out
 }
 
-// bitBuf is the receiver-half twin: choice bits plus r_b blocks.
+// blockBuf buffers r0 (or r_b) blocks.
+type blockBuf = fifo[block.Block]
+
+// bitBuf is the receiver-half twin: choice bits plus r_b blocks,
+// queued and drawn in lockstep.
 type bitBuf struct {
-	bits   []bool
-	blocks []block.Block
-	head   int
+	bits   fifo[bool]
+	blocks fifo[block.Block]
 }
 
-func (b *bitBuf) ready() int { return len(b.bits) - b.head }
+func (b *bitBuf) ready() int { return b.bits.ready() }
 
 func (b *bitBuf) push(bits []bool, blocks []block.Block) {
-	b.bits = append(b.bits, bits...)
-	b.blocks = append(b.blocks, blocks...)
+	b.bits.push(bits)
+	b.blocks.push(blocks)
 }
 
 func (b *bitBuf) pop(n int) ([]bool, []block.Block) {
-	bits := make([]bool, n)
-	blocks := make([]block.Block, n)
-	copy(bits, b.bits[b.head:b.head+n])
-	copy(blocks, b.blocks[b.head:b.head+n])
-	b.head += n
-	if b.head >= compactMin && b.head*2 >= len(b.bits) {
-		rest := copy(b.bits, b.bits[b.head:])
-		copy(b.blocks, b.blocks[b.head:])
-		b.bits = b.bits[:rest]
-		b.blocks = b.blocks[:rest]
-		b.head = 0
-	}
-	return bits, blocks
+	return b.bits.pop(n), b.blocks.pop(n)
 }
 
 // SenderRefill produces one batch of sender-half correlations
 // (r0 blocks under the pool owner's Δ). ferret.(*Sender).Extend fits.
+// The pool keeps the returned slices, so every refill (of any flavour)
+// must return fresh ones.
 type SenderRefill func() ([]block.Block, error)
 
 // Sender buffers the sender half of a correlation stream.
@@ -414,11 +417,11 @@ func (p *Sender) COTs(n int) ([]block.Block, error) {
 	defer p.mu.Unlock()
 	p.stats.Draws++
 	p.cfg.Obs.noteDraw()
+	if p.closed {
+		return nil, ErrClosed
+	}
 	if p.cfg.Depth <= 0 {
 		for p.buf.ready() < n {
-			if p.closed {
-				return nil, ErrClosed
-			}
 			if p.err != nil {
 				return nil, p.err
 			}
@@ -517,11 +520,11 @@ func (p *Receiver) COTs(n int) ([]bool, []block.Block, error) {
 	defer p.mu.Unlock()
 	p.stats.Draws++
 	p.cfg.Obs.noteDraw()
+	if p.closed {
+		return nil, nil, ErrClosed
+	}
 	if p.cfg.Depth <= 0 {
 		for p.buf.ready() < n {
-			if p.closed {
-				return nil, nil, ErrClosed
-			}
 			if p.err != nil {
 				return nil, nil, p.err
 			}
@@ -560,15 +563,17 @@ func (p *Receiver) Close() error {
 	return nil
 }
 
-// DealtRefill runs one lockstep iteration of both endpoints of an
-// in-process pair and returns the sender half (z) and the receiver
-// half (bits, y) of the fresh batch.
+// DealtRefill produces one batch of dealt correlations: the sender
+// half (z) and the receiver half (bits, y), with z = y ⊕ b·Δ. The
+// source may be a correlation dealer (cot.Deal, what otserv sessions
+// use) or one lockstep iteration of an in-process protocol pair
+// (ironman.NewDealtPair).
 type DealtRefill func() (z []block.Block, bits []bool, y []block.Block, err error)
 
 // Dealt buffers both halves of an in-process dealt correlation stream
 // under a single worker, so sender-half and receiver-half draws can
-// proceed at independent rates without desynchronizing the two
-// protocol endpoints. Refills trigger on the more depleted half.
+// proceed at independent rates while the source produces both halves
+// together. Refills trigger on the more depleted half.
 // Correlations are pairwise, so an undrawn half retains every refill;
 // Config.MaxBuffered bounds that growth, failing draws on the starved
 // half with ErrRetained once the cap blocks generation (see
@@ -713,6 +718,18 @@ func (p *Dealt) syncFill(need func() int, o *Observer) error {
 	return nil
 }
 
+// Warm blocks until the background worker has filled both halves to
+// the high-water mark, the pool closes, or the source fails (draws
+// then report the failure). It returns at once when Depth is 0.
+func (p *Dealt) Warm() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.cfg.Depth > 0 && !p.closed && p.err == nil &&
+		(p.batch == 0 || p.workerReady() < p.cfg.Depth*p.batch) {
+		p.cond.Wait()
+	}
+}
+
 // SenderCOTs draws n sender-half correlations (r0 blocks).
 func (p *Dealt) SenderCOTs(n int) ([]block.Block, error) {
 	if n < 0 {
@@ -722,6 +739,9 @@ func (p *Dealt) SenderCOTs(n int) ([]block.Block, error) {
 	defer p.mu.Unlock()
 	p.sstats.Draws++
 	p.cfg.Obs.noteDraw()
+	if p.closed {
+		return nil, ErrClosed
+	}
 	if p.cfg.Depth <= 0 {
 		p.demandS = n
 		err := p.syncFill(func() int { return p.sbuf.ready() - n }, p.cfg.Obs)
@@ -748,6 +768,9 @@ func (p *Dealt) ReceiverCOTs(n int) ([]bool, []block.Block, error) {
 	defer p.mu.Unlock()
 	p.rstats.Draws++
 	p.cfg.ObsReceiver.noteDraw()
+	if p.closed {
+		return nil, nil, ErrClosed
+	}
 	if p.cfg.Depth <= 0 {
 		p.demandR = n
 		err := p.syncFill(func() int { return p.rbuf.ready() - n }, p.cfg.ObsReceiver)

@@ -93,11 +93,11 @@ echo "== dispenser fleet smoke test (3 shards + router + otload) =="
 # balance) as the committed BENCH_fleet.json trajectory point:
 #
 #   FLEET_JSON=BENCH_fleet.json ./scripts/ci.sh
-"$bindir/otd" -listen 127.0.0.1:17121 -shard-id 1 -tiny -params tiny -max-sessions 2048 -admin 127.0.0.1:17131 &
+"$bindir/otd" -listen 127.0.0.1:17121 -shard-id 1 -params tiny -max-sessions 2048 -admin 127.0.0.1:17131 &
 shard1_pid=$!
-"$bindir/otd" -listen 127.0.0.1:17122 -shard-id 2 -tiny -params tiny -max-sessions 2048 -admin 127.0.0.1:17132 &
+"$bindir/otd" -listen 127.0.0.1:17122 -shard-id 2 -params tiny -max-sessions 2048 -admin 127.0.0.1:17132 &
 shard2_pid=$!
-"$bindir/otd" -listen 127.0.0.1:17123 -shard-id 3 -tiny -params tiny -max-sessions 2048 -admin 127.0.0.1:17133 &
+"$bindir/otd" -listen 127.0.0.1:17123 -shard-id 3 -params tiny -max-sessions 2048 -admin 127.0.0.1:17133 &
 shard3_pid=$!
 "$bindir/otd" -route -listen 127.0.0.1:17120 \
     -shards 127.0.0.1:17121,127.0.0.1:17122,127.0.0.1:17123 \
